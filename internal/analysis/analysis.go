@@ -24,7 +24,6 @@ import (
 
 	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/webserver"
-	"ixplens/internal/entity"
 )
 
 // Builtin analyzer (and snapshot section) names.
@@ -45,13 +44,12 @@ var (
 	ErrUnknownAnalyzer = errors.New("analysis: unknown analyzer")
 )
 
-// Context carries the substrates analyzers share for one run. Entities
-// is required (the visibility and links analyzers key their
-// accumulators by interned entity IDs); Crawler and Ident are optional
-// and only consumed by the webserver analyzer.
+// Context carries the substrates analyzers share for one run. Both
+// fields are optional and only consumed by the webserver analyzer; the
+// visibility and links analyzers need no substrate, since they log raw
+// keys and sort-reduce them at Finish.
 type Context struct {
-	Entities *entity.Table
-	Crawler  webserver.CertCrawler
+	Crawler webserver.CertCrawler
 	// Ident, when non-nil, instruments the webserver analyzer's shard
 	// merge exactly like the pre-registry identifier did.
 	Ident *webserver.Metrics

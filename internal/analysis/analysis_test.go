@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ixplens/internal/certsim"
@@ -51,11 +52,46 @@ func syntheticRecords() []dissect.Record {
 		}
 		recs = append(recs, rec)
 	}
+	// Edge cases the sort-reduce must fold exactly like a keyed sum,
+	// each on endpoints the random part never uses.
+	recs = append(recs, dissect.Record{ // credited once, not twice
+		Class: dissect.ClassPeeringTCP, SrcIP: selfIP, DstIP: selfIP,
+		InMember: 1, OutMember: 2, Bytes: 777,
+	})
+	recs = append(recs, dissect.Record{ // observed with zero bytes
+		Class: dissect.ClassPeeringUDP, SrcIP: zeroSrc, DstIP: zeroDst,
+		InMember: 2, OutMember: 3,
+	})
+	for i := 0; i < repeatCount; i++ { // one flow key over several workers
+		recs = append(recs, dissect.Record{
+			Class: dissect.ClassPeeringTCP, SrcIP: repeatSrc, DstIP: repeatDst,
+			InMember: 3, OutMember: 0, Bytes: repeatBytes,
+		})
+	}
+	for _, cls := range []dissect.Class{dissect.ClassLocal, dissect.ClassNonTCPUDP, dissect.ClassNonIPv4} {
+		recs = append(recs, dissect.Record{ // must be ignored
+			Class: cls, SrcIP: ignoredIP, DstIP: ignoredIP, InMember: 1, OutMember: 1, Bytes: 4096,
+		})
+	}
 	return recs
 }
 
+var (
+	selfIP    = packet.MakeIPv4(198, 51, 100, 1)
+	zeroSrc   = packet.MakeIPv4(203, 0, 113, 5)
+	zeroDst   = packet.MakeIPv4(203, 0, 113, 6)
+	repeatSrc = packet.MakeIPv4(198, 51, 100, 8)
+	repeatDst = packet.MakeIPv4(198, 51, 100, 9)
+	ignoredIP = packet.MakeIPv4(100, 64, 0, 1)
+)
+
+const (
+	repeatCount = 9
+	repeatBytes = 1500
+)
+
 func testContext() *Context {
-	return &Context{Entities: entity.NewTable(nil, nil)}
+	return &Context{}
 }
 
 func TestSelect(t *testing.T) {
@@ -137,6 +173,192 @@ func TestFusedMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: sharded product differs from serial", np.Name)
 		}
 	}
+}
+
+// TestPartitionsMatchSerial extends the partition-independence check
+// to skewed pools: a worker that never observes anything, and every
+// record on one worker of several.
+func TestPartitionsMatchSerial(t *testing.T) {
+	reg, err := NewRegistry(Visibility(), Links())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := syntheticRecords()
+	want := encodeAll(t, runRecords(t, reg, recs, 1, func(int) int { return 0 }))
+	for _, tc := range []struct {
+		name    string
+		workers int
+		of      func(i int) int
+	}{
+		{"idle-worker", 5, func(i int) int { return (i*7 + 3) % 4 }},
+		{"one-busy-worker", 3, func(int) int { return 2 }},
+		{"round-robin", 6, func(i int) int { return i % 6 }},
+	} {
+		got := encodeAll(t, runRecords(t, reg, recs, tc.workers, tc.of))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sharded products differ from serial", tc.name)
+		}
+	}
+}
+
+// TestConcurrentObserve drives each worker's shard from its own
+// goroutine, as the sharded pipeline does; run under -race it checks
+// that neighbouring shard logs share no state.
+func TestConcurrentObserve(t *testing.T) {
+	reg, err := NewRegistry(Visibility(), Links())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := syntheticRecords()
+	want := encodeAll(t, runRecords(t, reg, recs, 1, func(int) int { return 0 }))
+	const workers = 4
+	run := reg.NewRun(testContext(), workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(recs); i += workers {
+				run.Observe(w, &recs[i], uint64(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	prods, err := run.Finish(45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeAll(t, prods); !reflect.DeepEqual(got, want) {
+		t.Fatal("concurrently observed products differ from serial")
+	}
+}
+
+// TestSortReduceEdgeCases pins what the fold makes of the edge-case
+// records syntheticRecords appends.
+func TestSortReduceEdgeCases(t *testing.T) {
+	reg, err := NewRegistry(Visibility(), Links())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prods := runRecords(t, reg, syntheticRecords(), 4, func(i int) int { return (i*7 + 3) % 4 })
+
+	perIP := map[packet.IPv4Addr]uint64{}
+	for i, e := range prods.Visibility().PerIP {
+		if i > 0 && prods.Visibility().PerIP[i-1].IP >= e.IP {
+			t.Fatalf("visibility entries not strictly IP-sorted at %d", i)
+		}
+		perIP[e.IP] = e.Bytes
+	}
+	if got := perIP[selfIP]; got != 777 {
+		t.Errorf("self-addressed IP credited %d bytes, want 777", got)
+	}
+	for _, ip := range []packet.IPv4Addr{zeroSrc, zeroDst} {
+		if b, ok := perIP[ip]; !ok || b != 0 {
+			t.Errorf("zero-byte endpoint %v: present=%v bytes=%d", ip, ok, b)
+		}
+	}
+	if got := perIP[repeatSrc]; got != repeatCount*repeatBytes {
+		t.Errorf("repeated IP credited %d bytes, want %d", got, repeatCount*repeatBytes)
+	}
+	if _, ok := perIP[ignoredIP]; ok {
+		t.Error("non-peering endpoint reached the visibility product")
+	}
+
+	flows := prods.Links().Flows
+	repeat := FlowKey{Src: repeatSrc, Dst: repeatDst, In: 3, Out: 0}
+	found := false
+	for i := range flows {
+		f := &flows[i]
+		if i > 0 && compareFlows(flows[i-1], *f) >= 0 {
+			t.Fatalf("flows not strictly key-sorted at %d", i)
+		}
+		if f.Src == ignoredIP {
+			t.Error("non-peering record reached the links product")
+		}
+		if f.FlowKey == repeat {
+			found = true
+			if f.Samples != repeatCount || f.Bytes != repeatCount*repeatBytes {
+				t.Errorf("repeated flow folded to %d samples/%d bytes", f.Samples, f.Bytes)
+			}
+		}
+	}
+	if !found {
+		t.Error("repeated flow key missing")
+	}
+}
+
+// TestNoPeeringWeek: a week without peering records still encodes both
+// products, as an empty list (n = 0).
+func TestNoPeeringWeek(t *testing.T) {
+	reg, err := NewRegistry(Visibility(), Links())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []dissect.Record
+	for _, r := range syntheticRecords() {
+		if !r.Class.IsPeering() {
+			recs = append(recs, r)
+		}
+	}
+	for name, buf := range encodeAll(t, runRecords(t, reg, recs, 3, func(i int) int { return i % 3 })) {
+		if !bytes.Equal(buf, []byte{0, 0, 0, 0}) {
+			t.Errorf("%s: empty week encodes as %x, want n = 0", name, buf)
+		}
+	}
+}
+
+// TestObserveAllocFree pins the hot path of the sort-reduce analyzers:
+// Observe on a stream of distinct keys is an amortized append — no
+// per-record allocation, no map and no entity table (the Context has
+// none to offer).
+func TestObserveAllocFree(t *testing.T) {
+	reg, err := NewRegistry(Visibility(), Links())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := reg.NewRun(&Context{}, 2)
+	rec := dissect.Record{Class: dissect.ClassPeeringTCP, InMember: 1, OutMember: 2, Bytes: 1500}
+	allocs := testing.AllocsPerRun(50000, func() {
+		rec.SrcIP++
+		rec.DstIP += 7
+		run.Observe(1, &rec, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("Observe allocates %.2f times per record, want 0", allocs)
+	}
+	prods, err := run.Finish(45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(prods.Links().Flows); n != 50001 {
+		t.Fatalf("links kept %d flows, want 50001", n)
+	}
+}
+
+func runRecords(t *testing.T, reg *Registry, recs []dissect.Record, workers int, of func(i int) int) *Products {
+	t.Helper()
+	run := reg.NewRun(testContext(), workers)
+	for i := range recs {
+		run.Observe(of(i), &recs[i], uint64(i))
+	}
+	prods, err := run.Finish(45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prods
+}
+
+func encodeAll(t *testing.T, prods *Products) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for _, np := range prods.All() {
+		buf, err := np.P.AppendEncode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[np.Name] = buf
+	}
+	return out
 }
 
 // TestProductRoundTrips pins every analyzer codec: encode → Decode →
@@ -289,7 +511,7 @@ func TestVisibilityAggregatorRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := reg.NewRun(&Context{Entities: entity.NewTable(nil, nil)}, 2)
+	run := reg.NewRun(testContext(), 2)
 	for i := range recs {
 		run.Observe(i%2, &recs[i], uint64(i))
 	}

@@ -8,7 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ixplens/internal/core/webserver"
 	"ixplens/internal/packet"
@@ -125,7 +125,7 @@ func AppendResult(b []byte, r *webserver.Result) ([]byte, error) {
 	for ip := range r.Servers {
 		ips = append(ips, ip)
 	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
+	slices.Sort(ips)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(ips)))
 	for _, ip := range ips {
 		s := r.Servers[ip]

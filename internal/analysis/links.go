@@ -1,9 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ixplens/internal/core/dissect"
 	"ixplens/internal/core/hetero"
@@ -25,11 +26,7 @@ func (linksAnalyzer) Name() string    { return NameLinks }
 func (linksAnalyzer) Version() uint16 { return 1 }
 
 func (linksAnalyzer) NewState(_ *Context, workers int) State {
-	shards := make([]map[FlowKey]*flowAgg, workers)
-	for i := range shards {
-		shards[i] = make(map[FlowKey]*flowAgg)
-	}
-	return &linksState{shards: shards}
+	return &linksState{shards: make([]shardLog[Flow], workers)}
 }
 
 func (linksAnalyzer) Decode(version uint16, payload []byte) (Product, error) {
@@ -51,61 +48,48 @@ type Flow struct {
 	Samples uint64
 }
 
-type flowAgg struct {
-	bytes   uint64
-	samples uint64
-}
-
+// linksState logs one single-sample Flow per peering record in the
+// observing worker's shard; Finish sort-reduces the logs by FlowKey.
 type linksState struct {
-	shards []map[FlowKey]*flowAgg
+	shards []shardLog[Flow]
 }
 
 func (s *linksState) Observe(worker int, rec *dissect.Record, _ uint64) {
 	if !rec.Class.IsPeering() {
 		return
 	}
-	m := s.shards[worker]
-	k := FlowKey{Src: rec.SrcIP, Dst: rec.DstIP, In: rec.InMember, Out: rec.OutMember}
-	a := m[k]
-	if a == nil {
-		a = &flowAgg{}
-		m[k] = a
-	}
-	a.bytes += rec.Bytes
-	a.samples++
+	sh := &s.shards[worker]
+	sh.log = append(sh.log, Flow{
+		FlowKey: FlowKey{Src: rec.SrcIP, Dst: rec.DstIP, In: rec.InMember, Out: rec.OutMember},
+		Bytes:   rec.Bytes,
+		Samples: 1,
+	})
 }
 
 func (s *linksState) Finish(int) (Product, error) {
-	merged := s.shards[0]
-	for _, sh := range s.shards[1:] {
-		for k, a := range sh {
-			if m := merged[k]; m != nil {
-				m.bytes += a.bytes
-				m.samples += a.samples
-			} else {
-				merged[k] = a
-			}
+	flows := sortReduce(s.shards, compareFlows, func(acc, f *Flow) bool {
+		if acc.FlowKey != f.FlowKey {
+			return false
 		}
-	}
-	flows := make([]Flow, 0, len(merged))
-	for k, a := range merged {
-		flows = append(flows, Flow{FlowKey: k, Bytes: a.bytes, Samples: a.samples})
-	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].FlowKey.less(&flows[j].FlowKey) })
+		acc.Bytes += f.Bytes
+		acc.Samples += f.Samples
+		return true
+	})
+	s.shards = nil // the logs are garbage once folded; free them early
 	return &LinksProduct{Flows: flows}, nil
 }
 
-func (k *FlowKey) less(o *FlowKey) bool {
-	if k.Src != o.Src {
-		return k.Src < o.Src
+func compareFlows(a, b Flow) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
 	}
-	if k.Dst != o.Dst {
-		return k.Dst < o.Dst
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
 	}
-	if k.In != o.In {
-		return k.In < o.In
+	if c := cmp.Compare(a.In, b.In); c != 0 {
+		return c
 	}
-	return k.Out < o.Out
+	return cmp.Compare(a.Out, b.Out)
 }
 
 // LinksProduct is the persisted flow aggregation, sorted by
@@ -203,14 +187,14 @@ func (p *LinksProduct) TopMemberLinks(k int) []MemberLink {
 	for _, ml := range byPair {
 		out = append(out, *ml)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
+	slices.SortFunc(out, func(a, b MemberLink) int {
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
 		}
-		if out[i].In != out[j].In {
-			return out[i].In < out[j].In
+		if c := cmp.Compare(a.In, b.In); c != 0 {
+			return c
 		}
-		return out[i].Out < out[j].Out
+		return cmp.Compare(a.Out, b.Out)
 	})
 	if k > 0 && k < len(out) {
 		out = out[:k]

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
@@ -10,12 +11,14 @@ import (
 	"ixplens/internal/packet"
 )
 
-// Visibility returns the §3 visibility analyzer: per-worker
-// visibility.Aggregators sharing the run's entity table, merged by
-// dense ID at Finish. The product is the per-IP byte accumulation —
+// Visibility returns the §3 visibility analyzer. Each worker logs one
+// (IP, bytes) entry per endpoint of every peering record it observes;
+// Finish sort-reduces the logs into the per-IP byte accumulation —
 // everything the Table 1–3 and Fig. 2–3 views derive from — encoded as
-// an IP-sorted list so the same observations always yield the same
-// bytes regardless of worker partitioning.
+// an IP-sorted list, so the same observations always yield the same
+// bytes regardless of worker partitioning. The analyzer interns
+// nothing: the entity table only comes in when a view is derived from
+// the product (VisibilityProduct.Aggregator).
 func Visibility() Analyzer { return visibilityAnalyzer{} }
 
 type visibilityAnalyzer struct{}
@@ -23,15 +26,8 @@ type visibilityAnalyzer struct{}
 func (visibilityAnalyzer) Name() string    { return NameVisibility }
 func (visibilityAnalyzer) Version() uint16 { return 1 }
 
-func (visibilityAnalyzer) NewState(actx *Context, workers int) State {
-	shards := make([]*visibility.Aggregator, workers)
-	for i := range shards {
-		// Sharing one table across shards is safe (Resolve is
-		// synchronized) and makes shard-local IDs directly comparable,
-		// which is what the ID-level merge relies on.
-		shards[i] = visibility.NewAggregatorWith(actx.Entities)
-	}
-	return &visibilityState{shards: shards}
+func (visibilityAnalyzer) NewState(_ *Context, workers int) State {
+	return &visibilityState{shards: make([]shardLog[visibility.IPTraffic], workers)}
 }
 
 func (visibilityAnalyzer) Decode(version uint16, payload []byte) (Product, error) {
@@ -39,19 +35,35 @@ func (visibilityAnalyzer) Decode(version uint16, payload []byte) (Product, error
 }
 
 type visibilityState struct {
-	shards []*visibility.Aggregator
+	shards []shardLog[visibility.IPTraffic]
 }
 
+// Observe credits each endpoint of a peering record with its bytes; a
+// self-addressed record (SrcIP == DstIP) credits that IP once, exactly
+// like visibility.Aggregator.Observe.
 func (s *visibilityState) Observe(worker int, rec *dissect.Record, _ uint64) {
-	s.shards[worker].Observe(rec)
+	if !rec.Class.IsPeering() {
+		return
+	}
+	sh := &s.shards[worker]
+	sh.log = append(sh.log, visibility.IPTraffic{IP: rec.SrcIP, Bytes: rec.Bytes})
+	if rec.DstIP != rec.SrcIP {
+		sh.log = append(sh.log, visibility.IPTraffic{IP: rec.DstIP, Bytes: rec.Bytes})
+	}
 }
 
 func (s *visibilityState) Finish(int) (Product, error) {
-	merged := s.shards[0]
-	for _, sh := range s.shards[1:] {
-		merged.Merge(sh)
-	}
-	return &VisibilityProduct{PerIP: merged.PerIP()}, nil
+	perIP := sortReduce(s.shards, func(a, b visibility.IPTraffic) int {
+		return cmp.Compare(a.IP, b.IP)
+	}, func(acc, e *visibility.IPTraffic) bool {
+		if acc.IP != e.IP {
+			return false
+		}
+		acc.Bytes += e.Bytes
+		return true
+	})
+	s.shards = nil // the logs are garbage once folded; free them early
+	return &VisibilityProduct{PerIP: perIP}, nil
 }
 
 // VisibilityProduct is the persisted per-IP traffic accumulation,

@@ -6,6 +6,8 @@
 package visibility
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"ixplens/internal/core/dissect"
@@ -63,18 +65,6 @@ func (a *Aggregator) Observe(rec *dissect.Record) {
 // one that observed the live record stream.
 func (a *Aggregator) Add(ip packet.IPv4Addr, bytes uint64) { a.credit(ip, bytes) }
 
-// Merge folds another aggregator built over the SAME entity table into
-// this one — the deterministic shard merge of the fused analysis pass.
-// Shard-local entity IDs are comparable because the table is shared.
-func (a *Aggregator) Merge(o *Aggregator) {
-	if o == nil {
-		return
-	}
-	for _, id := range o.order {
-		a.creditID(id, o.bytes[id])
-	}
-}
-
 // IPTraffic is one observed endpoint with its accumulated bytes.
 type IPTraffic struct {
 	IP    packet.IPv4Addr
@@ -88,7 +78,7 @@ func (a *Aggregator) PerIP() []IPTraffic {
 	for _, id := range a.order {
 		out = append(out, IPTraffic{IP: a.table.IP(id), Bytes: a.bytes[id]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
+	slices.SortFunc(out, func(x, y IPTraffic) int { return cmp.Compare(x.IP, y.IP) })
 	return out
 }
 
@@ -231,18 +221,18 @@ func (a *Aggregator) TopASNs(n int, filter func(packet.IPv4Addr) bool) (byIPs, b
 	for asn, sh := range m {
 		all = append(all, ASNShare{ASN: asn, Count: sh.Count, Bytes: sh.Bytes})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
+	slices.SortFunc(all, func(x, y ASNShare) int {
+		if c := cmp.Compare(y.Count, x.Count); c != 0 {
+			return c
 		}
-		return all[i].ASN < all[j].ASN
+		return cmp.Compare(x.ASN, y.ASN)
 	})
 	byIPs = append(byIPs, all[:minInt(n, len(all))]...)
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Bytes != all[j].Bytes {
-			return all[i].Bytes > all[j].Bytes
+	slices.SortFunc(all, func(x, y ASNShare) int {
+		if c := cmp.Compare(y.Bytes, x.Bytes); c != 0 {
+			return c
 		}
-		return all[i].ASN < all[j].ASN
+		return cmp.Compare(x.ASN, y.ASN)
 	})
 	byBytes = append(byBytes, all[:minInt(n, len(all))]...)
 	return
@@ -258,12 +248,11 @@ type ASNShare struct {
 func topBy(all []Share, n int, key func(*Share) uint64) []Share {
 	sorted := make([]Share, len(all))
 	copy(sorted, all)
-	sort.Slice(sorted, func(i, j int) bool {
-		ki, kj := key(&sorted[i]), key(&sorted[j])
-		if ki != kj {
-			return ki > kj
+	slices.SortFunc(sorted, func(x, y Share) int {
+		if c := cmp.Compare(key(&y), key(&x)); c != 0 {
+			return c
 		}
-		return sorted[i].Key < sorted[j].Key
+		return cmp.Compare(x.Key, y.Key)
 	})
 	if n < len(sorted) {
 		sorted = sorted[:n]
@@ -279,11 +268,11 @@ func (a *Aggregator) CountryShares(filter func(packet.IPv4Addr) bool) []Share {
 	for _, sh := range m {
 		out = append(out, *sh)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(x, y Share) int {
+		if c := cmp.Compare(y.Count, x.Count); c != 0 {
+			return c
 		}
-		return out[i].Key < out[j].Key
+		return cmp.Compare(x.Key, y.Key)
 	})
 	return out
 }

@@ -9,7 +9,9 @@ package webserver
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -646,11 +648,11 @@ func (r *Result) TopServers(n int) []*Server {
 	for _, s := range r.Servers {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
+	slices.SortFunc(out, func(a, b *Server) int {
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
 		}
-		return out[i].IP < out[j].IP
+		return cmp.Compare(a.IP, b.IP)
 	})
 	if n < len(out) {
 		out = out[:n]

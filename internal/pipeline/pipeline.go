@@ -104,10 +104,11 @@ type Env struct {
 	Crawler *certsim.Crawler
 	Gen     *traffic.Generator
 	Opts    traffic.Options
-	// Entities is the Env's shared interning layer: every analysis stage
-	// resolves IPs through it, so RIB/geo lookups run once per distinct
-	// address per Env instead of once per (layer, week, sample). NewEnv
-	// wires it; hand-assembled Envs get one lazily via EntityTable.
+	// Entities is the Env's shared interning layer: every view that
+	// needs an IP's RIB/geo attributes resolves the IP through it, so
+	// those lookups run once per distinct address per Env instead of
+	// once per (layer, week, sample). NewEnv wires it; hand-assembled
+	// Envs get one lazily via EntityTable.
 	Entities *entity.Table
 	// M is the observability bundle; nil (the default) runs the whole
 	// pipeline uninstrumented. Attach one with Instrument.
@@ -182,12 +183,10 @@ func (e *Env) VFS() vfs.FS {
 }
 
 // AnalysisContext bundles the Env substrates the analyzers consume.
-// Like EntityTable, first use is not synchronized.
 func (e *Env) AnalysisContext() *analysis.Context {
 	return &analysis.Context{
-		Entities: e.EntityTable(),
-		Crawler:  e.Crawler,
-		Ident:    e.M.IdentifyMetrics(),
+		Crawler: e.Crawler,
+		Ident:   e.M.IdentifyMetrics(),
 	}
 }
 

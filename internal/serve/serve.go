@@ -13,12 +13,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -423,11 +424,11 @@ func TopASes(env *pipeline.Env, snap *snapshot.Snapshot, k int) []ASEntry {
 	for asn, a := range byAS {
 		out = append(out, ASEntry{ASN: asn, Servers: a.servers, Bytes: a.bytes})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
+	slices.SortFunc(out, func(a, b ASEntry) int {
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
 		}
-		return out[i].ASN < out[j].ASN
+		return cmp.Compare(a.ASN, b.ASN)
 	})
 	if k < len(out) {
 		out = out[:k]

@@ -365,7 +365,15 @@ func decodeBlockPayload(data []byte, raw []byte, dgs []Datagram, c *blockCodec, 
 		if n > maxDatagramLen || int(n) > len(rest)-4 {
 			return fail(errors.New("sflow: block payload framing damaged"))
 		}
-		dgs = append(dgs, Datagram{})
+		// Reuse the slot's previous Datagram element when there is one,
+		// so Decode refills its Flows/Counters arrays in place; the
+		// DatagramSource aliasing contract already ends the old
+		// contents' lifetime at the next Next.
+		if len(dgs) < cap(dgs) {
+			dgs = dgs[:len(dgs)+1]
+		} else {
+			dgs = append(dgs, Datagram{})
+		}
 		d := &dgs[len(dgs)-1]
 		if derr := Decode(rest[4:4+n], d); derr != nil {
 			dgs = dgs[:len(dgs)-1]

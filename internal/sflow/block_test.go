@@ -2,9 +2,12 @@ package sflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -432,4 +435,90 @@ func TestParallelBlockReaderClose(t *testing.T) {
 		}
 	}
 	t.Fatal("Next kept succeeding after Close")
+}
+
+// TestDecodeBlockReusedSlot: a slot that last held a block of bigger
+// datagrams (more flows, counters and skipped samples each) must decode
+// the next, smaller block exactly like a fresh slot — reusing the old
+// Datagram elements must leave nothing stale behind.
+func TestDecodeBlockReusedSlot(t *testing.T) {
+	wire := func(d *Datagram, skipped int) []byte {
+		w := d.AppendEncode(nil)
+		// Patch in unknown (type 999) samples, which Decode skips.
+		binary.BigEndian.PutUint32(w[24:], uint32(len(d.Flows)+len(d.Counters)+skipped))
+		for i := 0; i < skipped; i++ {
+			w = binary.BigEndian.AppendUint32(w, 999)
+			w = binary.BigEndian.AppendUint32(w, 4)
+			w = binary.BigEndian.AppendUint32(w, uint32(i))
+		}
+		return w
+	}
+	frame := func(wires ...[]byte) []byte {
+		var payload []byte
+		for _, w := range wires {
+			payload = binary.BigEndian.AppendUint32(payload, uint32(len(w)))
+			payload = append(payload, w...)
+		}
+		h := make([]byte, blockHeaderLen)
+		copy(h, blockMarker[:])
+		binary.BigEndian.PutUint32(h[4:], uint32(len(wires)))
+		binary.BigEndian.PutUint32(h[16:], uint32(len(payload)))
+		binary.BigEndian.PutUint32(h[20:], uint32(len(payload)))
+		h[24] = codecNone
+		crc := crc32.Checksum(h[:blockCRCOffset], castagnoli)
+		binary.BigEndian.PutUint32(h[blockCRCOffset:], crc32.Update(crc, castagnoli, payload))
+		return append(h, payload...)
+	}
+
+	var big [][]byte
+	for i := 0; i < 5; i++ {
+		d := blockTestDatagram(i)
+		for j := 1; j < 4; j++ {
+			d.Flows = append(d.Flows, blockTestDatagram(10*i + j).Flows[0])
+		}
+		d.Counters = append(d.Counters, blockTestDatagram(0).Counters[0], blockTestDatagram(13).Counters[0])
+		big = append(big, wire(d, 2))
+	}
+	bare := blockTestDatagram(3)
+	bare.Flows = nil
+	small := frame(
+		wire(blockTestDatagram(1), 0),  // one flow, no counters
+		wire(blockTestDatagram(26), 0), // one flow, one counter
+		wire(bare, 0),                  // no samples at all
+		wire(bare, 1),                  // only a skipped sample
+	)
+
+	var c blockCodec
+	dgs, raw, corrupt, _, _, _, err := decodeBlockPayload(frame(big...), nil, nil, &c, false)
+	if err != nil || corrupt || len(dgs) != len(big) {
+		t.Fatalf("big block: %d datagrams, corrupt=%v, err=%v", len(dgs), corrupt, err)
+	}
+	got, _, corrupt, _, _, _, err := decodeBlockPayload(small, raw, dgs[:0], &c, false)
+	if err != nil || corrupt {
+		t.Fatalf("reused slot: corrupt=%v, err=%v", corrupt, err)
+	}
+	var fc blockCodec
+	want, _, _, _, _, _, err := decodeBlockPayload(small, nil, nil, &fc, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reused slot decoded %d datagrams, want %d", len(got), len(want))
+	}
+	for i := range want {
+		// A reused element keeps a non-nil empty slice where a fresh
+		// one has nil; only contents count.
+		g, w := got[i], want[i]
+		for _, d := range []*Datagram{&g, &w} {
+			if len(d.Flows) == 0 {
+				d.Flows = nil
+			}
+			if len(d.Counters) == 0 {
+				d.Counters = nil
+			}
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("datagram %d: reused slot decoded\n%+v\nwant\n%+v", i, g, w)
+		}
+	}
 }

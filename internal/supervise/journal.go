@@ -184,8 +184,12 @@ func (s *State) apply(rec *Record) {
 		switch rec.Stage {
 		case StageCapture:
 			// A re-captured week invalidates anything derived from the
-			// previous bytes.
-			if ws.Capture.Digest != rec.Digest {
+			// previous bytes. Without a prior capture checkpoint (never
+			// written, or dropped by replay for a bad CRC) there are no
+			// previous bytes: the downstream checkpoints stand, and
+			// snapshotVerified still checks the snapshot's source digest
+			// against this capture before trusting it.
+			if ws.Capture.Done && ws.Capture.Digest != rec.Digest {
 				ws.Analyze = StageState{}
 				ws.Snapshot = StageState{}
 				ws.Done, ws.DoneDigest = false, ""
@@ -197,6 +201,12 @@ func (s *State) apply(rec *Record) {
 			ws.Snapshot = st
 		case "":
 			ws.Done, ws.DoneDigest = true, rec.Digest
+			// The terminal record carries the snapshot digest, so it
+			// stands in for a snapshot checkpoint that replay dropped;
+			// snapshotVerified re-hashes the file before trusting it.
+			if !ws.Snapshot.Done && rec.Digest != "" {
+				ws.Snapshot = StageState{Done: true, Digest: rec.Digest}
+			}
 		}
 	case EventFail:
 		ws := s.week(rec.Week)

@@ -92,6 +92,87 @@ func TestJournalRecaptureInvalidates(t *testing.T) {
 	}
 }
 
+// TestJournalDroppedCheckpointKeepsWeek: replay drops one CRC-failing
+// checkpoint of a completed week; the week's intact records must still
+// describe it as done. A dropped capture checkpoint is re-verified by
+// the rerun, which appends it again with the same digest: that is not a
+// re-capture and must not wipe the analyze, snapshot and done state. A
+// dropped snapshot checkpoint is restored from the terminal record,
+// which carries the same digest.
+func TestJournalDroppedCheckpointKeepsWeek(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to string // a byte edit that breaks one record's CRC
+		rerun    *Record
+	}{
+		{"capture", `"datagrams":42`, `"datagrams":43`,
+			&Record{Event: EventDone, Week: 35, Stage: StageCapture, Digest: "d-cap", Datagrams: 42}},
+		{"snapshot", `"stage":"snapshot","digest":"d-snap"`, `"stage":"snapshot","digest":"d-snaq"`, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := OpenJournal(dir, "cfg-a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []*Record{
+				{Event: EventDone, Week: 35, Stage: StageCapture, Digest: "d-cap", Datagrams: 42},
+				{Event: EventDone, Week: 35, Stage: StageAnalyze, Digest: "d-cap"},
+				{Event: EventDone, Week: 35, Stage: StageSnapshot, Digest: "d-snap"},
+				{Event: EventDone, Week: 35, Digest: "d-snap"},
+			} {
+				if err := j.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j.Close()
+			raw, err := os.ReadFile(journalPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mut := bytes.Replace(raw, []byte(tc.from), []byte(tc.to), 1)
+			if bytes.Equal(mut, raw) {
+				t.Fatalf("test setup: %s not found in journal bytes", tc.from)
+			}
+			if err := os.WriteFile(journalPath(dir), mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			j2, err := OpenJournal(dir, "cfg-a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := j2.Dropped(); got != 1 {
+				t.Fatalf("dropped = %d, want 1", got)
+			}
+			if tc.rerun != nil {
+				if err := j2.Append(tc.rerun); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j2.Close()
+
+			st, err := ReadState(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := st.Weeks[35]
+			if w == nil || !w.Capture.Done || w.Capture.Digest != "d-cap" {
+				t.Fatalf("capture: %+v", w)
+			}
+			if !w.Analyze.Done || w.Analyze.Digest != "d-cap" {
+				t.Fatalf("analyze checkpoint lost: %+v", w.Analyze)
+			}
+			if !w.Snapshot.Done || w.Snapshot.Digest != "d-snap" {
+				t.Fatalf("snapshot checkpoint lost: %+v", w.Snapshot)
+			}
+			if !w.Done || w.DoneDigest != "d-snap" {
+				t.Fatalf("done checkpoint lost: %+v", w)
+			}
+		})
+	}
+}
+
 // TestJournalTornTail: a crash mid-append leaves a partial final line;
 // replay drops it and keeps everything before.
 func TestJournalTornTail(t *testing.T) {
