@@ -6,6 +6,7 @@ package analysis
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -163,8 +164,17 @@ func AppendResult(b []byte, r *webserver.Result) ([]byte, error) {
 	return b, nil
 }
 
+// minServerLen is the smallest encoded server: ip, flags, bytes,
+// member, a zero port count, zero hosts, an empty subject and zero alt
+// names.
+const minServerLen = 4 + 1 + 8 + 4 + 1 + 2 + 2 + 2
+
 // ReadResult decodes one result from the cursor, leaving any trailing
 // bytes unconsumed (the v1 container embeds the result mid-payload).
+// The servers share one allocation, their port, host and alt-name
+// lists are carved from shared chunks, and every host, subject and
+// alt-name string is a substring of one copy of the remaining payload,
+// so the result never aliases the caller's buffer.
 func ReadResult(cur *Cursor) (*webserver.Result, error) {
 	r := &webserver.Result{Week: int(cur.U32())}
 	r.EstLoss = math.Float64frombits(cur.U64())
@@ -174,14 +184,29 @@ func ReadResult(cur *Cursor) (*webserver.Result, error) {
 	r.ServerBytes = cur.U64()
 
 	nServers := int(cur.U32())
-	if cur.Bad() || nServers > cur.Len() {
-		// Each server occupies well over one payload byte, so a count
-		// exceeding the remaining payload is structurally impossible.
+	if cur.Bad() || nServers > cur.Len()/minServerLen {
+		// A count the remaining payload cannot hold is structurally
+		// impossible.
 		return nil, fmt.Errorf("%w: truncated result header", ErrFormat)
 	}
+	// text copies the rest of the payload once; str slices a
+	// u16-length-prefixed string out of it at the cursor's position.
+	text, end := string(cur.b), len(cur.b)
+	str := func() string {
+		n := int(cur.U16())
+		if cur.Take(n) == nil {
+			return ""
+		}
+		off := end - cur.Len()
+		return text[off-n : off]
+	}
+	servers := make([]webserver.Server, nServers)
 	r.Servers = make(map[packet.IPv4Addr]*webserver.Server, nServers)
-	for i := 0; i < nServers; i++ {
-		s := &webserver.Server{IP: packet.IPv4Addr(cur.U32())}
+	var ports slab[uint16]
+	var names slab[string]
+	for i := range servers {
+		s := &servers[i]
+		s.IP = packet.IPv4Addr(cur.U32())
 		flags := cur.U8()
 		s.HTTP = flags&flagHTTP != 0
 		s.HTTPS = flags&flagHTTPS != 0
@@ -189,7 +214,7 @@ func ReadResult(cur *Cursor) (*webserver.Result, error) {
 		s.Bytes = cur.U64()
 		s.Member = int32(cur.U32())
 		if nPorts := int(cur.U8()); nPorts > 0 {
-			s.Ports = make([]uint16, nPorts)
+			s.Ports = ports.take(nPorts)
 			for j := range s.Ports {
 				s.Ports[j] = cur.U16()
 			}
@@ -198,19 +223,19 @@ func ReadResult(cur *Cursor) (*webserver.Result, error) {
 			if nHosts > cur.Len() {
 				return nil, fmt.Errorf("%w: truncated server record", ErrFormat)
 			}
-			s.Hosts = make([]string, nHosts)
+			s.Hosts = names.take(nHosts)
 			for j := range s.Hosts {
-				s.Hosts[j] = cur.Str()
+				s.Hosts[j] = str()
 			}
 		}
-		s.Cert.Subject = cur.Str()
+		s.Cert.Subject = str()
 		if nAlt := int(cur.U16()); nAlt > 0 {
 			if nAlt > cur.Len() {
 				return nil, fmt.Errorf("%w: truncated cert record", ErrFormat)
 			}
-			s.Cert.AltNames = make([]string, nAlt)
+			s.Cert.AltNames = names.take(nAlt)
 			for j := range s.Cert.AltNames {
-				s.Cert.AltNames[j] = cur.Str()
+				s.Cert.AltNames[j] = str()
 			}
 		}
 		if cur.Bad() {
@@ -222,6 +247,40 @@ func ReadResult(cur *Cursor) (*webserver.Result, error) {
 		return nil, fmt.Errorf("%w: truncated result", ErrFormat)
 	}
 	return r, nil
+}
+
+// slab hands out short slices carved from shared chunks, so a decoded
+// result makes one allocation per chunk rather than one per server
+// set. Each slice is capped at its length: appending to one reallocates
+// it instead of overwriting its neighbour.
+type slab[T any] struct{ free []T }
+
+// slabChunk is the element count of one chunk.
+const slabChunk = 256
+
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(n, slabChunk))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// fixedStride frames a payload of a u32 record count followed by that
+// many stride-byte records, returning the records and the count. It
+// fails unless the length is exactly 4 + count*stride.
+func fixedStride(payload []byte, stride int) ([]byte, int, error) {
+	if len(payload) < 4 {
+		return nil, 0, errors.New("truncated header")
+	}
+	n := binary.BigEndian.Uint32(payload)
+	body := payload[4:]
+	if uint64(len(body)) != uint64(n)*uint64(stride) {
+		return nil, 0, fmt.Errorf("%d records need %d bytes, %d present",
+			n, uint64(n)*uint64(stride), len(body))
+	}
+	return body, int(n), nil
 }
 
 // DecodeResult parses a standalone result section payload.

@@ -115,31 +115,33 @@ func (p *LinksProduct) AppendEncode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeLinks parses a links section payload.
+// linkRecordLen is the encoded size of one Flow.
+const linkRecordLen = 32
+
+// DecodeLinks parses a links section payload. Every field pattern is a
+// valid flow, so a payload decodes exactly when its length is the
+// 4-byte count plus count whole records.
 func DecodeLinks(version uint16, payload []byte) (*LinksProduct, error) {
 	if version != 1 {
 		return nil, fmt.Errorf("%w: links v%d", ErrVersion, version)
 	}
-	cur := NewCursor(payload)
-	n := int(cur.U32())
-	if cur.Bad() || n > cur.Len() {
-		return nil, fmt.Errorf("%w: truncated links header", ErrFormat)
+	body, n, err := fixedStride(payload, linkRecordLen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: links: %v", ErrFormat, err)
 	}
 	out := &LinksProduct{Flows: make([]Flow, n)}
 	for i := range out.Flows {
-		f := &out.Flows[i]
-		f.Src = packet.IPv4Addr(cur.U32())
-		f.Dst = packet.IPv4Addr(cur.U32())
-		f.In = int32(cur.U32())
-		f.Out = int32(cur.U32())
-		f.Bytes = cur.U64()
-		f.Samples = cur.U64()
-	}
-	if cur.Bad() {
-		return nil, fmt.Errorf("%w: truncated links entries", ErrFormat)
-	}
-	if cur.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, cur.Len())
+		rec := body[i*linkRecordLen : (i+1)*linkRecordLen]
+		out.Flows[i] = Flow{
+			FlowKey: FlowKey{
+				Src: packet.IPv4Addr(binary.BigEndian.Uint32(rec[0:])),
+				Dst: packet.IPv4Addr(binary.BigEndian.Uint32(rec[4:])),
+				In:  int32(binary.BigEndian.Uint32(rec[8:])),
+				Out: int32(binary.BigEndian.Uint32(rec[12:])),
+			},
+			Bytes:   binary.BigEndian.Uint64(rec[16:]),
+			Samples: binary.BigEndian.Uint64(rec[24:]),
+		}
 	}
 	return out, nil
 }
@@ -170,22 +172,21 @@ type MemberLink struct {
 // and returns the k heaviest, bytes descending then (In, Out)
 // ascending. k <= 0 returns all pairs.
 func (p *LinksProduct) TopMemberLinks(k int) []MemberLink {
-	type pair struct{ in, out int32 }
-	byPair := make(map[pair]*MemberLink)
+	// The map holds each pair's index in out, keyed on the pair packed
+	// into one uint64.
+	index := make(map[uint64]int)
+	var out []MemberLink
 	for i := range p.Flows {
 		f := &p.Flows[i]
-		key := pair{f.In, f.Out}
-		ml := byPair[key]
-		if ml == nil {
-			ml = &MemberLink{In: f.In, Out: f.Out}
-			byPair[key] = ml
+		key := uint64(uint32(f.In))<<32 | uint64(uint32(f.Out))
+		j, ok := index[key]
+		if !ok {
+			j = len(out)
+			index[key] = j
+			out = append(out, MemberLink{In: f.In, Out: f.Out})
 		}
-		ml.Bytes += f.Bytes
-		ml.Samples += f.Samples
-	}
-	out := make([]MemberLink, 0, len(byPair))
-	for _, ml := range byPair {
-		out = append(out, *ml)
+		out[j].Bytes += f.Bytes
+		out[j].Samples += f.Samples
 	}
 	slices.SortFunc(out, func(a, b MemberLink) int {
 		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {

@@ -87,26 +87,27 @@ func (p *VisibilityProduct) AppendEncode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeVisibility parses a visibility section payload.
+// visibilityRecordLen is the encoded size of one IPTraffic entry.
+const visibilityRecordLen = 12
+
+// DecodeVisibility parses a visibility section payload. Every field
+// pattern is a valid entry, so a payload decodes exactly when its
+// length is the 4-byte count plus count whole records.
 func DecodeVisibility(version uint16, payload []byte) (*VisibilityProduct, error) {
 	if version != 1 {
 		return nil, fmt.Errorf("%w: visibility v%d", ErrVersion, version)
 	}
-	cur := NewCursor(payload)
-	n := int(cur.U32())
-	if cur.Bad() || n > cur.Len() {
-		return nil, fmt.Errorf("%w: truncated visibility header", ErrFormat)
+	body, n, err := fixedStride(payload, visibilityRecordLen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: visibility: %v", ErrFormat, err)
 	}
 	out := &VisibilityProduct{PerIP: make([]visibility.IPTraffic, n)}
 	for i := range out.PerIP {
-		out.PerIP[i].IP = packet.IPv4Addr(cur.U32())
-		out.PerIP[i].Bytes = cur.U64()
-	}
-	if cur.Bad() {
-		return nil, fmt.Errorf("%w: truncated visibility entries", ErrFormat)
-	}
-	if cur.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, cur.Len())
+		rec := body[i*visibilityRecordLen : (i+1)*visibilityRecordLen]
+		out.PerIP[i] = visibility.IPTraffic{
+			IP:    packet.IPv4Addr(binary.BigEndian.Uint32(rec[0:])),
+			Bytes: binary.BigEndian.Uint64(rec[4:]),
+		}
 	}
 	return out, nil
 }

@@ -642,22 +642,68 @@ func crawlRoots(c CertCrawler) map[string]bool {
 	return nil
 }
 
-// TopServers returns the n highest-traffic servers, descending.
+// TopServers returns the n highest-traffic servers, bytes descending
+// then IP ascending. That order is strict and total, so selecting the
+// top n with a bounded heap and sorting only those gives exactly the
+// prefix of the fully sorted list.
 func (r *Result) TopServers(n int) []*Server {
-	out := make([]*Server, 0, len(r.Servers))
+	if n <= 0 {
+		return []*Server{}
+	}
+	if n > len(r.Servers) {
+		n = len(r.Servers)
+	}
+	// top is a heap whose root is the lowest-ranked server kept so far.
+	top := make([]*Server, 0, n)
 	for _, s := range r.Servers {
-		out = append(out, s)
-	}
-	slices.SortFunc(out, func(a, b *Server) int {
-		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
-			return c
+		switch {
+		case len(top) < n:
+			top = append(top, s)
+			siftUp(top, len(top)-1)
+		case rankCompare(s, top[0]) < 0:
+			top[0] = s
+			siftDown(top, 0)
 		}
-		return cmp.Compare(a.IP, b.IP)
-	})
-	if n < len(out) {
-		out = out[:n]
 	}
-	return out
+	slices.SortFunc(top, rankCompare)
+	return top
+}
+
+// rankCompare orders servers by bytes descending, then IP ascending.
+func rankCompare(a, b *Server) int {
+	if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.IP, b.IP)
+}
+
+// siftUp and siftDown keep h a heap with the lowest-ranked server at
+// the root.
+func siftUp(h []*Server, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if rankCompare(h[i], h[parent]) <= 0 {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func siftDown(h []*Server, i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && rankCompare(h[c], h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // MultiPurpose counts servers seen active on more than one service port.

@@ -1,7 +1,9 @@
 package webserver
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ixplens/internal/certsim"
@@ -194,6 +196,43 @@ func TestTopServers(t *testing.T) {
 	}
 	if got := res.TopServers(1 << 30); len(got) != len(res.Servers) {
 		t.Fatal("TopServers cap wrong")
+	}
+}
+
+// TestTopServersSelection: the bounded-heap selection returns exactly
+// the first n of the fully sorted server list for every n, with many
+// byte ties so the IP tie-break decides most places.
+func TestTopServersSelection(t *testing.T) {
+	res := &Result{Servers: map[packet.IPv4Addr]*Server{}}
+	for i := 0; i < 200; i++ {
+		ip := packet.IPv4Addr(uint32(i*7919) % 1000)
+		res.Servers[ip] = &Server{IP: ip, Bytes: uint64(i % 9 * 1000)}
+	}
+	all := make([]*Server, 0, len(res.Servers))
+	for _, s := range res.Servers {
+		all = append(all, s)
+	}
+	slices.SortFunc(all, func(a, b *Server) int {
+		if a.Bytes != b.Bytes {
+			return cmp.Compare(b.Bytes, a.Bytes)
+		}
+		return cmp.Compare(a.IP, b.IP)
+	})
+	for n := -1; n <= len(all)+2; n++ {
+		want := all[:max(0, min(n, len(all)))]
+		got := res.TopServers(n)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d servers, want %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: place %d is %v (%d B), want %v (%d B)",
+					n, i, got[i].IP, got[i].Bytes, want[i].IP, want[i].Bytes)
+			}
+		}
+	}
+	if got := (&Result{}).TopServers(10); len(got) != 0 {
+		t.Fatalf("empty result: %d servers", len(got))
 	}
 }
 

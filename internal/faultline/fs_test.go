@@ -1,8 +1,10 @@
 package faultline
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -357,5 +359,97 @@ func TestFlipFileBitErrors(t *testing.T) {
 	}
 	if fi, _ := os.Stat(path); fi.Size() != n {
 		t.Fatalf("truncated to %d, stat says %d", n, fi.Size())
+	}
+}
+
+// chunkFS hands out files whose Read returns at most max bytes per
+// call, so a whole-file read takes several Reads at known offsets.
+type chunkFS struct {
+	vfs.FS
+	max int
+}
+
+type chunkFile struct {
+	vfs.File
+	max int
+}
+
+func (c chunkFS) Open(name string) (vfs.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return chunkFile{f, c.max}, nil
+}
+
+func (c chunkFile) Read(p []byte) (int, error) {
+	if len(p) > c.max {
+		p = p[:c.max]
+	}
+	return c.File.Read(p)
+}
+
+// TestReadFileInjectedEIO: vfs.ReadFile returns an injected read EIO
+// unchanged, whether it hits the first Read (offset 0) or a later one
+// (mid-file), and reads the file whole when no draw fails.
+func TestReadFileInjectedEIO(t *testing.T) {
+	const size, chunk, rate = 10000, 4096, 0.5
+	path := filepath.Join(t.TempDir(), "week-45.snap")
+	content := make([]byte, size)
+	for i := range content {
+		content[i] = byte(i)
+	}
+	if err := os.WriteFile(path, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inner := chunkFS{vfs.OS{}, chunk}
+	// The Reads of one whole-file read start at these offsets; the last
+	// one sees EOF.
+	offsets := []uint64{0, chunk, 2 * chunk, size}
+	// fails reports which of those Reads a fresh FS with seed would
+	// fail, from the same draw the injector makes.
+	fails := func(seed uint64) []bool {
+		fsys := NewFS(inner, FSConfig{Seed: seed, ReadErr: rate})
+		ph := fsys.handleKey(path)
+		out := make([]bool, len(offsets))
+		for i, off := range offsets {
+			out[i] = fsys.draw(ph, fsOpRead, off) < rate
+		}
+		return out
+	}
+	find := func(want func([]bool) bool) uint64 {
+		for seed := uint64(1); seed < 10000; seed++ {
+			if want(fails(seed)) {
+				return seed
+			}
+		}
+		t.Fatal("no seed gives the wanted schedule")
+		return 0
+	}
+	for _, tc := range []struct {
+		name string
+		seed uint64
+	}{
+		{"offset 0", find(func(f []bool) bool { return f[0] })},
+		{"mid-file", find(func(f []bool) bool { return !f[0] && f[1] })},
+	} {
+		fsys := NewFS(inner, FSConfig{Seed: tc.seed, ReadErr: rate})
+		raw, err := vfs.ReadFile(fsys, path)
+		if !errors.Is(err, ErrInjectedIO) || raw != nil {
+			t.Fatalf("%s: got (%d bytes, %v), want the injected EIO", tc.name, len(raw), err)
+		}
+		var pe *fs.PathError
+		if !errors.As(err, &pe) || pe.Op != "read" || pe.Path != path {
+			t.Fatalf("%s: error %#v is not the injector's read PathError", tc.name, err)
+		}
+		if n := fsys.Stats.ReadErrs.Load(); n != 1 {
+			t.Fatalf("%s: %d read faults injected, want 1", tc.name, n)
+		}
+	}
+
+	clean := find(func(f []bool) bool { return !f[0] && !f[1] && !f[2] && !f[3] })
+	raw, err := vfs.ReadFile(NewFS(inner, FSConfig{Seed: clean, ReadErr: rate}), path)
+	if err != nil || !bytes.Equal(raw, content) {
+		t.Fatalf("fault-free schedule: %d bytes, %v", len(raw), err)
 	}
 }

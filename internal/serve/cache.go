@@ -22,8 +22,12 @@ type loadFunc func(ctx context.Context, isoWeek int) (*snapshot.Snapshot, error)
 // gives up (client disconnect, per-request timeout) detaches without
 // killing the analysis other waiters are sharing. Only when the LAST
 // waiter detaches is the load cancelled, so an abandoned analysis
-// stops promptly and leaves no goroutine behind. Closing the cache
-// cancels every in-flight load.
+// stops promptly and leaves no goroutine behind. A request that arrives
+// while such an abandoned load unwinds waits for it to end instead of
+// joining it, then finds the week cached or starts a fresh load, so it
+// never fails with another request's cancellation and one week never
+// has two loads at once. Closing the cache cancels every in-flight
+// load.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -86,12 +90,29 @@ func (c *Cache) Close() {
 // stayed.
 func (c *Cache) Get(ctx context.Context, isoWeek int) (*snapshot.Snapshot, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[isoWeek]; ok {
-		c.order.MoveToFront(el)
-		snap := el.Value.(*cacheEntry).snap
+	for {
+		if el, ok := c.entries[isoWeek]; ok {
+			c.order.MoveToFront(el)
+			snap := el.Value.(*cacheEntry).snap
+			c.mu.Unlock()
+			c.m.CacheHits.Inc()
+			return snap, nil
+		}
+		f, ok := c.flights[isoWeek]
+		if !ok || f.waiters > 0 {
+			break
+		}
+		// Every waiter of this flight left, so its load is being
+		// cancelled; joining would inherit that cancellation. Wait for
+		// it to unwind, then look again: it either cached the week or
+		// made way for a fresh load.
 		c.mu.Unlock()
-		c.m.CacheHits.Inc()
-		return snap, nil
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		c.mu.Lock()
 	}
 	c.m.CacheMisses.Inc()
 	f, ok := c.flights[isoWeek]

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -126,6 +127,18 @@ func TestDegradedServing(t *testing.T) {
 	last := series[3]
 	if last.IPs[0] == 0 {
 		t.Fatal("no stable IPs across the gap — gap penalized histories")
+	}
+
+	// Later requests are answered from the stored series: the gap row
+	// and every other byte are identical, and nothing is recomputed.
+	for i := 0; i < 3; i++ {
+		code, again := get("/churn")
+		if code != 200 || !bytes.Equal(again, body) {
+			t.Fatalf("stored churn series request %d: %d, bytes differ from the first", i, code)
+		}
+	}
+	if n := s.m.ChurnComputations.Value(); n != 1 {
+		t.Fatalf("%d churn computations, want 1", n)
 	}
 }
 

@@ -39,6 +39,9 @@ type Metrics struct {
 	// outcomes when the store writes snapshots after analysis.
 	SnapshotWrites      *obs.Counter
 	SnapshotWriteErrors *obs.Counter
+	// ChurnComputations counts /churn series computations. The server
+	// stores the first one that succeeds, so past that it stays put.
+	ChurnComputations *obs.Counter
 }
 
 // NewMetrics resolves the serving metrics in r; a nil registry yields
@@ -57,5 +60,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		AnalyzeNanos:        r.Histogram("serve_analyze_ns"),
 		SnapshotWrites:      r.Counter("serve_snapshot_writes_total"),
 		SnapshotWriteErrors: r.Counter("serve_snapshot_write_errors_total"),
+		ChurnComputations:   r.Counter("serve_churn_computations_total"),
 	}
 }

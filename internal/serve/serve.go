@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"ixplens/internal/core/churn"
@@ -80,6 +81,7 @@ type Server struct {
 	reg   *obs.Registry
 	mux   *http.ServeMux
 	sem   chan struct{}
+	churn *churnMemo
 }
 
 // New builds a server over store. reg (optional) receives the serving
@@ -96,6 +98,7 @@ func New(store *Store, cfg Config, reg *obs.Registry) *Server {
 		reg:   reg,
 		mux:   http.NewServeMux(),
 		sem:   make(chan struct{}, cfg.MaxInFlight),
+		churn: newChurnMemo(),
 	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /weeks", s.handleWeeks)
@@ -196,13 +199,27 @@ func fail(w http.ResponseWriter, err error) {
 // the serving contract — the golden tests compare responses byte for
 // byte against directly analyzed results.
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	buf, err := json.Marshal(v)
+	body, err := encodeJSON(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, body)
+}
+
+// encodeJSON is the deterministic encoding writeJSON sends.
+func encodeJSON(v interface{}) ([]byte, error) {
+	buf, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, '\n'), nil
+}
+
+// writeBody sends an already encoded JSON document.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(buf, '\n'))
+	w.Write(body)
 }
 
 // handleHealthz reports liveness plus campaign data health: "ok" when
@@ -635,24 +652,77 @@ func ChurnSeries(env *pipeline.Env, weeks []int, snaps []*snapshot.Snapshot) ([]
 // explicit gap rows rather than failing the whole series — a degraded
 // campaign still answers longitudinal questions over the weeks it has.
 func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
+	body, err := s.churn.get(r.Context(), s.churnBody)
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	writeBody(w, body)
+}
+
+// churnBody computes the encoded churn series, loading every
+// non-quarantined week through the cache.
+func (s *Server) churnBody(ctx context.Context) ([]byte, error) {
+	s.m.ChurnComputations.Inc()
 	weeks := s.store.Weeks()
 	snaps := make([]*snapshot.Snapshot, 0, len(weeks))
 	for _, wk := range weeks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if s.store.IsQuarantined(wk) {
 			snaps = append(snaps, nil)
 			continue
 		}
-		snap, err := s.cache.Get(r.Context(), wk)
+		snap, err := s.cache.Get(ctx, wk)
 		if err != nil {
-			fail(w, err)
-			return
+			return nil, err
 		}
 		snaps = append(snaps, snap)
 	}
 	series, err := ChurnSeries(s.store.Env(), weeks, snaps)
 	if err != nil {
-		fail(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, series)
+	return encodeJSON(series)
+}
+
+// churnMemo stores the /churn response body once it has been computed.
+// The series depends only on the store, whose weeks, manifest digests
+// and quarantine set are fixed when it is opened, so it cannot change
+// while the server runs. One request at a time computes it, holding
+// token; requests that arrive meanwhile wait for the token (or for
+// their own context) and then find the body stored. A computation that
+// fails or is cancelled stores nothing, and the next holder of the
+// token computes again.
+type churnMemo struct {
+	token chan struct{}
+	body  atomic.Pointer[[]byte]
+}
+
+func newChurnMemo() *churnMemo {
+	return &churnMemo{token: make(chan struct{}, 1)}
+}
+
+// get returns the stored body, computing it with compute if no earlier
+// computation succeeded.
+func (m *churnMemo) get(ctx context.Context, compute func(context.Context) ([]byte, error)) ([]byte, error) {
+	if b := m.body.Load(); b != nil {
+		return *b, nil
+	}
+	select {
+	case m.token <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-m.token }()
+	if b := m.body.Load(); b != nil {
+		return *b, nil
+	}
+	body, err := compute(ctx)
+	if err != nil {
+		return nil, err
+	}
+	m.body.Store(&body)
+	return body, nil
 }

@@ -126,6 +126,52 @@ func TestCacheAbandonedLoadIsCancelled(t *testing.T) {
 	}
 }
 
+// TestCacheDoesNotJoinAbandonedLoad: a request arriving while an
+// abandoned load is still unwinding does not inherit its cancellation.
+// It waits for that load to end and then starts its own, so two loads
+// of one week never overlap.
+func TestCacheDoesNotJoinAbandonedLoad(t *testing.T) {
+	var calls, running, overlap atomic.Int64
+	started := make(chan struct{})
+	load := func(ctx context.Context, wk int) (*snapshot.Snapshot, error) {
+		if running.Add(1) > 1 {
+			overlap.Add(1)
+		}
+		defer running.Add(-1)
+		if calls.Add(1) == 1 {
+			close(started)
+			<-ctx.Done()
+			time.Sleep(20 * time.Millisecond) // a slow unwind
+			return nil, ctx.Err()
+		}
+		return fakeSnap(wk), nil
+	}
+	c := NewCache(4, load, NewMetrics(nil))
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := c.Get(ctx, 45)
+		errCh <- err
+	}()
+	<-started
+	cancel()
+	if err := <-errCh; err != context.Canceled {
+		t.Fatalf("abandoned Get returned %v, want context.Canceled", err)
+	}
+	snap, err := c.Get(context.Background(), 45)
+	if err != nil || snap.Result.Week != 45 {
+		t.Fatalf("request after the abandoned one got (%v, %v), want week 45", snap, err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d loads, want 2", n)
+	}
+	if overlap.Load() != 0 {
+		t.Fatal("two loads of one week overlapped")
+	}
+}
+
 func TestCacheWaiterSurvivesOtherWaiterCancelling(t *testing.T) {
 	release := make(chan struct{})
 	load := func(ctx context.Context, wk int) (*snapshot.Snapshot, error) {

@@ -30,9 +30,11 @@
 //	file    := "IXPSNAP1" rawLen:u32 crc:u32 payload[rawLen]
 //	payload := digest counts result
 //
-// is still both readable (Decode sniffs the magic) and writable
-// (AppendEncodeV1/SaveFileV1), byte-identical to what PR 7 shipped, for
-// campaigns that must stay consumable by older builds.
+// is still readable (Decode and Read sniff the magic), so campaigns
+// written by older builds keep loading; this build writes only
+// IXPSNAP2. A v1 snapshot carries no visibility or links product, so
+// the serving and supervising layers treat it as incomplete and
+// re-analyze its week.
 package snapshot
 
 import (
@@ -265,27 +267,6 @@ func AppendEncode(dst []byte, snap *Snapshot) ([]byte, error) {
 		dst = append(dst, secs[i].Payload...)
 	}
 	return dst, nil
-}
-
-// AppendEncodeV1 appends the legacy IXPSNAP1 container — byte-identical
-// to what pre-registry builds wrote. It carries only the identification
-// result, counts and digest; visibility/links/Extra products are NOT
-// representable in v1 and are silently dropped, which is the point:
-// older consumers read exactly the file they always did.
-func AppendEncodeV1(dst []byte, snap *Snapshot) ([]byte, error) {
-	if snap == nil || snap.Result == nil {
-		return dst, errors.New("snapshot: nil result")
-	}
-	payload := analysis.AppendString(nil, snap.SourceDigest)
-	payload = appendCounts(payload, &snap.Counts)
-	payload, err := analysis.AppendResult(payload, snap.Result)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, magicV1[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...), nil
 }
 
 // Decode parses a full container from buf, sniffing the version.
@@ -526,17 +507,6 @@ func SaveFileFS(fsys vfs.FS, path string, snap *Snapshot) (string, error) {
 		return "", err
 	}
 	return saveBytes(fsys, path, buf)
-}
-
-// SaveFileV1 writes the legacy single-section container, for campaigns
-// that must stay readable by pre-registry builds.
-func SaveFileV1(path string, snap *Snapshot) error {
-	buf, err := AppendEncodeV1(nil, snap)
-	if err != nil {
-		return err
-	}
-	_, err = saveBytes(vfs.Default, path, buf)
-	return err
 }
 
 func saveBytes(fsys vfs.FS, path string, buf []byte) (string, error) {

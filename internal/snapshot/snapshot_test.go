@@ -104,70 +104,98 @@ func TestRoundTripSynthetic(t *testing.T) {
 	}
 }
 
-func TestRoundTripV1(t *testing.T) {
-	snap := syntheticV1()
-	buf, err := AppendEncodeV1(nil, snap)
+// v1Fixture returns the committed IXPSNAP1 file, written by the
+// pre-registry snapshot writer; it decodes to syntheticV1(). This build
+// no longer writes v1, so the v1 cases take their bytes from it.
+func v1Fixture(t *testing.T) []byte {
+	t.Helper()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "week-45.v1.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(buf[:8]) != "IXPSNAP1" {
-		t.Fatalf("v1 writer emitted magic %q", buf[:8])
+	if string(fixture[:8]) != "IXPSNAP1" {
+		t.Fatalf("v1 fixture has magic %q", fixture[:8])
+	}
+	return fixture
+}
+
+// TestRoundTripV1: a legacy v1 snapshot decodes, and rewriting it as
+// IXPSNAP2 (what this build writes) round-trips to the same snapshot.
+func TestRoundTripV1(t *testing.T) {
+	snap, err := Decode(v1Fixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := AppendEncode(nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:8]) != "IXPSNAP2" {
+		t.Fatalf("writer emitted magic %q", buf[:8])
 	}
 	got, err := Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, got) {
-		t.Fatalf("v1 round trip diverged:\nwant %+v\ngot  %+v", snap, got)
+	if !reflect.DeepEqual(syntheticV1(), got) {
+		t.Fatalf("v1 -> v2 round trip diverged:\nwant %+v\ngot  %+v", syntheticV1(), got)
 	}
 }
 
 // TestGoldenV1Fixture pins backward compatibility against a committed
-// file written by the pre-registry (single-section) snapshot writer:
-// it must still decode, and AppendEncodeV1 must reproduce it
-// byte-for-byte — the proof that the legacy writer survived the codec
-// refactor unchanged.
+// file written by the pre-registry (single-section) snapshot writer: it
+// must still decode to exactly the snapshot it was written from.
 func TestGoldenV1Fixture(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "week-45.v1.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := Decode(fixture)
+	snap, err := Decode(v1Fixture(t))
 	if err != nil {
 		t.Fatalf("legacy fixture no longer decodes: %v", err)
 	}
 	if !reflect.DeepEqual(snap, syntheticV1()) {
 		t.Fatalf("legacy fixture decoded to unexpected snapshot:\n%+v", snap)
 	}
-	reenc, err := AppendEncodeV1(nil, snap)
+}
+
+// encoded returns the v2 encoding of synthetic() and the v1 fixture,
+// each with the snapshot it holds and its fixed header length.
+func encoded(t *testing.T) []struct {
+	name      string
+	buf       []byte
+	snap      *Snapshot
+	headerLen int
+} {
+	t.Helper()
+	v2, err := AppendEncode(nil, synthetic())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fixture, reenc) {
-		t.Fatal("AppendEncodeV1 no longer byte-identical to the legacy writer")
+	return []struct {
+		name      string
+		buf       []byte
+		snap      *Snapshot
+		headerLen int
+	}{
+		{"v2", v2, synthetic(), headerLenV2},
+		{"v1", v1Fixture(t), syntheticV1(), headerLenV1},
 	}
 }
 
 func TestRoundTripViaReaderWriter(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		encode func([]byte, *Snapshot) ([]byte, error)
-		snap   *Snapshot
-	}{
-		{"v2", AppendEncode, synthetic()},
-		{"v1", AppendEncodeV1, syntheticV1()},
-	} {
-		buf, err := tc.encode(nil, tc.snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(bytes.NewReader(buf))
+	for _, tc := range encoded(t) {
+		got, err := Read(bytes.NewReader(tc.buf))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(tc.snap, got) {
 			t.Fatalf("%s: reader round trip diverged", tc.name)
 		}
+	}
+	// Write emits exactly AppendEncode's bytes.
+	var w bytes.Buffer
+	if err := Write(&w, synthetic()); err != nil {
+		t.Fatal(err)
+	}
+	if want := encoded(t)[0].buf; !bytes.Equal(w.Bytes(), want) {
+		t.Fatal("Write diverged from AppendEncode")
 	}
 }
 
@@ -195,19 +223,8 @@ func TestFileRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsDamage(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		encode    func([]byte, *Snapshot) ([]byte, error)
-		snap      *Snapshot
-		headerLen int
-	}{
-		{"v2", AppendEncode, synthetic(), headerLenV2},
-		{"v1", AppendEncodeV1, syntheticV1(), headerLenV1},
-	} {
-		buf, err := tc.encode(nil, tc.snap)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range encoded(t) {
+		buf := tc.buf
 
 		// Every single-bit flip past the fixed header must surface as
 		// ErrChecksum (the table and every payload are each covered by
@@ -427,4 +444,63 @@ func TestGoldenAllWeeks(t *testing.T) {
 			t.Fatalf("week %d: snapshot encoding is not deterministic", wk)
 		}
 	}
+}
+
+// FuzzSnapshotDecode: Decode never panics, and whatever it accepts
+// survives an encode → decode round trip unchanged. The seeds are a
+// snapshot of a really analyzed week, the synthetic every-shape
+// snapshot and the legacy v1 fixture.
+func FuzzSnapshotDecode(f *testing.F) {
+	env, err := pipeline.NewEnv(netmodel.Tiny(),
+		traffic.Options{SamplesPerWeek: 600, SamplingRate: 16384, SnapLen: 128})
+	if err != nil {
+		f.Fatal(err)
+	}
+	week, _, err := env.AnalyzeWeek(context.Background(), env.World.Cfg.FirstWeek, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	analyzed, err := FromProducts(week.Products, week.Counts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	analyzed.SourceDigest = "feed"
+	for _, snap := range []*Snapshot{analyzed, synthetic()} {
+		buf, err := AppendEncode(nil, snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "week-45.v1.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := Decode(data)
+		if err != nil {
+			return
+		}
+		buf, err := AppendEncode(nil, snap)
+		if err != nil {
+			t.Fatalf("decoded snapshot does not encode: %v", err)
+		}
+		back, err := Decode(buf)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if loss := snap.Result.EstLoss; loss != loss {
+			// NaN is never DeepEqual to itself; compare the encodings.
+			again, err := AppendEncode(nil, back)
+			if err != nil || !bytes.Equal(buf, again) {
+				t.Fatalf("NaN-loss snapshot re-encoded differently: %v", err)
+			}
+			return
+		}
+		if !reflect.DeepEqual(snap, back) {
+			t.Fatalf("round trip diverged:\nfirst  %+v\nsecond %+v", snap, back)
+		}
+	})
 }

@@ -137,13 +137,18 @@ func (OS) SyncDir(dir string) error {
 }
 
 // ReadFile reads the named file whole, like os.ReadFile but through the
-// seam.
+// seam, and the same way: the buffer is sized once from File.Stat (512
+// bytes when Stat fails), so a file whose size Stat reports is read
+// with one allocation and two Read calls, the second one seeing EOF. A
+// file that turns out longer than Stat said still reads whole; only
+// then does the buffer grow. Read and Close errors are returned
+// unchanged.
 func ReadFile(fsys FS, name string) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	raw, rerr := io.ReadAll(f)
+	raw, rerr := readAll(f)
 	if cerr := f.Close(); rerr == nil {
 		rerr = cerr
 	}
@@ -151,6 +156,34 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 		return nil, rerr
 	}
 	return raw, nil
+}
+
+// readAll reads f to EOF into a buffer sized from its Stat.
+func readAll(f File) ([]byte, error) {
+	size := 0
+	if fi, err := f.Stat(); err == nil {
+		if s := fi.Size(); s > 0 && int64(int(s)) == s {
+			size = int(s)
+		}
+	}
+	size++ // room for the final Read that reports EOF
+	if size < 512 {
+		size = 512
+	}
+	data := make([]byte, 0, size)
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return data, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 // WriteFileAtomic writes data to path with full crash consistency: a
